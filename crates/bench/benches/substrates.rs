@@ -12,10 +12,10 @@ use janus_core::plan::fetch_plan;
 use janus_moe::expert::ExpertFfn;
 use janus_moe::gate::TopKGate;
 use janus_moe::workload::{AssignmentMatrix, Imbalance};
-use janus_netsim::fair::max_min_rates;
+use janus_netsim::fair::{max_min_rates, FairShare};
 use janus_netsim::{simulate, GraphBuilder, Work};
 use janus_tensor::Matrix;
-use janus_topology::{ClusterSpec, LinkId};
+use janus_topology::{ClusterSpec, LinkId, Location};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -28,6 +28,32 @@ fn bench_fair(c: &mut Criterion) {
     let caps = vec![25e9; 32];
     c.bench_function("fair_max_min_64_flows", |b| {
         b.iter(|| black_box(max_min_rates(black_box(&flows), black_box(&caps))))
+    });
+
+    // An all-to-all on the paper's 4 x 8 A100 cluster: every ordered GPU
+    // pair at once, 992 flows over its 168 links, the size at which the
+    // simulator prices expert-centric plans. Solved as the simulator
+    // does, by one reused solver over sorted, deduplicated routes.
+    let cluster = ClusterSpec::a100(4, 8).build();
+    let gpus: Vec<Location> = cluster.workers().map(Location::Gpu).collect();
+    let a2a: Vec<Vec<usize>> = gpus
+        .iter()
+        .flat_map(|&src| {
+            gpus.iter()
+                .filter(move |&&dst| dst != src)
+                .map(move |&dst| (src, dst))
+        })
+        .map(|(src, dst)| {
+            let mut links: Vec<usize> = cluster.route(src, dst).iter().map(|l| l.index()).collect();
+            links.sort_unstable();
+            links.dedup();
+            links
+        })
+        .collect();
+    let caps = cluster.capacities();
+    let mut solver = FairShare::default();
+    c.bench_function("fair_a2a_32gpu", |b| {
+        b.iter(|| black_box(solver.solve(black_box(&a2a), black_box(&caps))[0]))
     });
 }
 

@@ -113,6 +113,15 @@ impl TcpTransport {
     }
 }
 
+impl Drop for TcpTransport {
+    /// A dropped endpoint closes like [`TcpTransport::close`], so its
+    /// peers' reader threads see EOF and exit instead of blocking on the
+    /// socket for the life of the process.
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
 fn spawn_reader(peer: usize, stream: TcpStream, tx: Sender<(usize, Message)>) {
     thread::Builder::new()
         .name(format!("tcp-reader-{peer}"))
@@ -435,6 +444,34 @@ mod tests {
         };
         let t = TcpTransport::from_listener_with(0, listener, &addrs, &retry).unwrap();
         assert_eq!(t.world_size(), 1);
+    }
+
+    /// Live `tcp-reader-*` threads of this process.
+    fn reader_threads() -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("tcp-reader-"))
+            .count()
+    }
+
+    #[test]
+    fn dropped_mesh_stops_its_reader_threads() {
+        // Other tests in this binary build meshes concurrently, so wait
+        // for the count to come back down rather than expecting it at once.
+        let before = reader_threads();
+        let mesh = tcp_mesh_localhost(3).unwrap();
+        assert!(reader_threads() >= 6, "a 3-rank mesh runs 6 readers");
+        drop(mesh);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while reader_threads() > before {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} reader threads outlive the mesh ({before} before it)",
+                reader_threads()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]

@@ -9,8 +9,126 @@
 //! This is the classic water-filling algorithm; it terminates in at most
 //! `min(#flows, #links)` rounds and produces the unique max-min fair
 //! allocation.
+//!
+//! [`FairShare`] is the one implementation. It keeps, per link, the list
+//! of flows crossing it, so a round costs a scan of the links that still
+//! carry unfrozen flows plus the routes of the flows it freezes, rather
+//! than a scan of every flow. Its buffers are reused across calls, so
+//! the simulator, which re-solves at every flow arrival and departure,
+//! allocates nothing per event once they have grown.
 
 use janus_topology::LinkId;
+
+/// Reusable max-min fair solver.
+///
+/// The result depends only on the multiset of routes, never on the order
+/// in which a round freezes its flows: every flow frozen in a round
+/// subtracts the same share from each of its links, so each link's
+/// remaining capacity goes through the same sequence of values whichever
+/// flow subtracts first. The bottleneck of a round is the link with the
+/// strictly smallest share, ties going to the lowest link index.
+#[derive(Debug, Default)]
+pub struct FairShare {
+    frozen: Vec<bool>,
+    rates: Vec<f64>,
+    /// Per link: capacity not yet handed to frozen flows.
+    remaining: Vec<f64>,
+    /// Per link: unfrozen flows crossing it.
+    unfrozen_on: Vec<usize>,
+    /// Per link: every flow crossing it, in flow-index order.
+    members: Vec<Vec<usize>>,
+    /// Links that carried unfrozen flows at the end of the last round,
+    /// in increasing index order.
+    active: Vec<usize>,
+}
+
+impl FairShare {
+    /// Max-min fair rates of `routes` over links with `capacities`, one
+    /// rate per route, in route order.
+    ///
+    /// Each route must list a link at most once. An empty route is
+    /// unconstrained and gets `f64::INFINITY`; so does every flow whose
+    /// links all have infinite capacity.
+    pub fn solve<R: AsRef<[usize]>>(&mut self, routes: &[R], capacities: &[f64]) -> &[f64] {
+        self.load(routes, capacities);
+        let mut unfrozen = self.frozen.iter().filter(|f| !**f).count();
+        while unfrozen > 0 {
+            let Some((link, share)) = self.bottleneck() else {
+                break;
+            };
+            for &i in &self.members[link] {
+                if self.frozen[i] {
+                    continue;
+                }
+                self.frozen[i] = true;
+                unfrozen -= 1;
+                self.rates[i] = share;
+                for &l in routes[i].as_ref() {
+                    self.remaining[l] = (self.remaining[l] - share).max(0.0);
+                    self.unfrozen_on[l] -= 1;
+                }
+            }
+        }
+        &self.rates
+    }
+
+    /// Reset the buffers for a new problem: index the routes by link and
+    /// start every non-empty route unfrozen.
+    fn load<R: AsRef<[usize]>>(&mut self, routes: &[R], capacities: &[f64]) {
+        let n_links = capacities.len();
+        self.remaining.clear();
+        self.remaining.extend_from_slice(capacities);
+        self.unfrozen_on.clear();
+        self.unfrozen_on.resize(n_links, 0);
+        self.members.resize_with(n_links, Vec::new);
+        for m in &mut self.members {
+            m.clear();
+        }
+        self.frozen.clear();
+        for (i, route) in routes.iter().enumerate() {
+            let route = route.as_ref();
+            for &l in route {
+                debug_assert!(
+                    self.members[l].last() != Some(&i),
+                    "flow {i} lists link {l} twice"
+                );
+                self.members[l].push(i);
+                self.unfrozen_on[l] += 1;
+            }
+            self.frozen.push(route.is_empty());
+        }
+        self.rates.clear();
+        self.rates.resize(self.frozen.len(), f64::INFINITY);
+        self.active.clear();
+        self.active
+            .extend((0..n_links).filter(|&l| self.unfrozen_on[l] > 0));
+    }
+
+    /// The link with the smallest fair share among those still carrying
+    /// unfrozen flows, dropping links whose flows are all frozen from the
+    /// active list on the way. `None` when no finite share remains.
+    fn bottleneck(&mut self) -> Option<(usize, f64)> {
+        let mut best = None;
+        let mut best_share = f64::INFINITY;
+        let mut kept = 0;
+        for k in 0..self.active.len() {
+            let l = self.active[k];
+            let cnt = self.unfrozen_on[l];
+            if cnt == 0 {
+                continue;
+            }
+            self.active[kept] = l;
+            kept += 1;
+            let share = (self.remaining[l] / cnt as f64).max(0.0);
+            if share < best_share {
+                best_share = share;
+                best = Some(l);
+            }
+        }
+        self.active.truncate(kept);
+        best.map(|l| (l, best_share))
+    }
+}
 
 /// Compute max-min fair rates for `flows` over links with `capacities`.
 ///
@@ -22,14 +140,7 @@ use janus_topology::LinkId;
 /// Links that appear multiple times in one route are counted once (a flow
 /// cannot consume the same link twice in the fluid model).
 pub fn max_min_rates(flows: &[Vec<LinkId>], capacities: &[f64]) -> Vec<f64> {
-    let n = flows.len();
-    let mut rates = vec![f64::INFINITY; n];
-    if n == 0 {
-        return rates;
-    }
-
-    // Deduplicated routes so repeated links don't double-count.
-    let dedup: Vec<Vec<usize>> = flows
+    let routes: Vec<Vec<usize>> = flows
         .iter()
         .map(|route| {
             let mut ls: Vec<usize> = route.iter().map(|l| l.index()).collect();
@@ -38,57 +149,7 @@ pub fn max_min_rates(flows: &[Vec<LinkId>], capacities: &[f64]) -> Vec<f64> {
             ls
         })
         .collect();
-
-    let mut remaining = capacities.to_vec();
-    let mut flows_on_link = vec![0usize; capacities.len()];
-    for ls in &dedup {
-        for &l in ls {
-            flows_on_link[l] += 1;
-        }
-    }
-    let mut frozen = vec![false; n];
-    // Flows with empty routes are frozen at infinity from the start.
-    let mut unfrozen = 0usize;
-    for (i, ls) in dedup.iter().enumerate() {
-        if ls.is_empty() {
-            frozen[i] = true;
-        } else {
-            unfrozen += 1;
-        }
-    }
-
-    while unfrozen > 0 {
-        // Bottleneck link: smallest fair share among links with unfrozen flows.
-        let mut best_share = f64::INFINITY;
-        let mut best_link = usize::MAX;
-        for (l, &cnt) in flows_on_link.iter().enumerate() {
-            if cnt > 0 {
-                let share = (remaining[l] / cnt as f64).max(0.0);
-                if share < best_share {
-                    best_share = share;
-                    best_link = l;
-                }
-            }
-        }
-        if best_link == usize::MAX {
-            // No contended links left; remaining flows are unconstrained.
-            break;
-        }
-        // Freeze every unfrozen flow crossing the bottleneck.
-        for i in 0..n {
-            if frozen[i] || !dedup[i].contains(&best_link) {
-                continue;
-            }
-            frozen[i] = true;
-            unfrozen -= 1;
-            rates[i] = best_share;
-            for &l in &dedup[i] {
-                remaining[l] = (remaining[l] - best_share).max(0.0);
-                flows_on_link[l] -= 1;
-            }
-        }
-    }
-    rates
+    FairShare::default().solve(&routes, capacities).to_vec()
 }
 
 #[cfg(test)]

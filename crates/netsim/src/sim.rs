@@ -1,10 +1,10 @@
 //! Discrete-event execution of a task graph.
 
-use crate::fair::max_min_rates;
+use crate::fair::FairShare;
 use crate::graph::{Graph, LaneId, PoolId, TaskId, Work};
 use crate::trace::{SimResult, TaskRecord};
-use janus_topology::LinkId;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
 
 /// Byte slack below which a flow counts as finished.
@@ -49,12 +49,22 @@ struct Flow {
     latency_left: f64,
 }
 
+/// The links a flow loads: none while it is still in its issue-latency
+/// window.
+impl AsRef<[usize]> for Flow {
+    fn as_ref(&self) -> &[usize] {
+        if self.latency_left > 0.0 {
+            &[]
+        } else {
+            &self.links
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct LaneState {
     /// Task currently occupying the lane.
     busy: Option<usize>,
-    /// Compute end time when the busy task is a compute.
-    end: f64,
     /// Ready tasks waiting for the lane: (priority, task index).
     queue: BTreeSet<(i64, usize)>,
 }
@@ -79,11 +89,20 @@ struct Engine<'g> {
     instant: Vec<usize>,
     lanes: Vec<LaneState>,
     pools: Vec<PoolState>,
+    /// Lanes running a compute, earliest end first: (end time bits,
+    /// lane). End times are non-negative, so their bits order like them.
+    computes: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Scratch for the lanes whose computes end at the current instant.
+    due_lanes: Vec<usize>,
     flows: Vec<Flow>,
+    fair: FairShare,
     rates_dirty: bool,
     pools_dirty: bool,
     link_bytes: Vec<f64>,
     link_busy: Vec<f64>,
+    /// Per link, the last advance (by count) that found it busy.
+    busy_stamp: Vec<u64>,
+    advances: u64,
     mem: Vec<f64>,
     mem_peak: Vec<f64>,
 }
@@ -115,11 +134,16 @@ impl<'g> Engine<'g> {
                     waiters: BTreeSet::new(),
                 })
                 .collect(),
+            computes: BinaryHeap::new(),
+            due_lanes: Vec::new(),
             flows: Vec::new(),
+            fair: FairShare::default(),
             rates_dirty: false,
             pools_dirty: false,
             link_bytes: vec![0.0; capacities.len()],
             link_busy: vec![0.0; capacities.len()],
+            busy_stamp: vec![0; capacities.len()],
+            advances: 0,
             mem: vec![0.0; graph.num_domains],
             mem_peak: vec![0.0; graph.num_domains],
         }
@@ -240,7 +264,8 @@ impl<'g> Engine<'g> {
                     self.pump_lane(lane);
                 } else {
                     self.lanes[lane.0].busy = Some(task);
-                    self.lanes[lane.0].end = self.now + duration;
+                    let end = self.now + duration;
+                    self.computes.push(Reverse((end.to_bits(), lane.0)));
                 }
             }
             Work::Transfer { .. } => {
@@ -273,7 +298,6 @@ impl<'g> Engine<'g> {
         links.dedup();
         if let Some(lane) = lane {
             self.lanes[lane.0].busy = Some(task);
-            self.lanes[lane.0].end = f64::INFINITY;
         }
         self.flows.push(Flow {
             task,
@@ -287,20 +311,8 @@ impl<'g> Engine<'g> {
     }
 
     fn recompute_rates(&mut self) {
-        // Flows still in their issue-latency window consume no bandwidth.
-        let routes: Vec<Vec<LinkId>> = self
-            .flows
-            .iter()
-            .map(|f| {
-                if f.latency_left > 0.0 {
-                    Vec::new()
-                } else {
-                    f.links.iter().map(|&l| LinkId(l)).collect()
-                }
-            })
-            .collect();
-        let rates = max_min_rates(&routes, self.capacities);
-        for (f, r) in self.flows.iter_mut().zip(rates) {
+        let rates = self.fair.solve(&self.flows, self.capacities);
+        for (f, &r) in self.flows.iter_mut().zip(rates) {
             f.rate = if f.latency_left > 0.0 { 0.0 } else { r };
         }
         self.rates_dirty = false;
@@ -329,14 +341,10 @@ impl<'g> Engine<'g> {
 
     /// Earliest future event: a compute lane completing or a flow draining.
     fn next_event(&self) -> Option<f64> {
-        let mut t = f64::INFINITY;
-        for lane in &self.lanes {
-            if let Some(task) = lane.busy {
-                if !matches!(self.graph.tasks[task].spec.work, Work::Transfer { .. }) {
-                    t = t.min(lane.end);
-                }
-            }
-        }
+        let mut t = self
+            .computes
+            .peek()
+            .map_or(f64::INFINITY, |&Reverse((end, _))| f64::from_bits(end));
         for f in &self.flows {
             if f.latency_left > 0.0 {
                 t = t.min(self.now + f.latency_left);
@@ -352,7 +360,7 @@ impl<'g> Engine<'g> {
         let dt = t - self.now;
         debug_assert!(dt >= -TIME_EPS, "time went backwards");
         if dt > 0.0 {
-            let mut busy_links: Vec<bool> = vec![false; self.capacities.len()];
+            self.advances += 1;
             for f in &mut self.flows {
                 if f.latency_left > 0.0 {
                     f.latency_left -= dt;
@@ -366,12 +374,10 @@ impl<'g> Engine<'g> {
                 f.remaining -= moved;
                 for &l in &f.links {
                     self.link_bytes[l] += moved;
-                    busy_links[l] = true;
-                }
-            }
-            for (l, busy) in busy_links.iter().enumerate() {
-                if *busy {
-                    self.link_busy[l] += dt;
+                    if self.busy_stamp[l] != self.advances {
+                        self.busy_stamp[l] = self.advances;
+                        self.link_busy[l] += dt;
+                    }
                 }
             }
         }
@@ -402,16 +408,21 @@ impl<'g> Engine<'g> {
                 i += 1;
             }
         }
-        // Complete lane computes ending now.
-        for l in 0..self.lanes.len() {
-            if let Some(task) = self.lanes[l].busy {
-                let is_compute = matches!(self.graph.tasks[task].spec.work, Work::Compute { .. });
-                if is_compute && self.lanes[l].end <= self.now + TIME_EPS {
-                    self.lanes[l].busy = None;
-                    self.finish_task(task);
-                    self.pump_lane(LaneId(l));
-                }
+        // Complete lane computes ending now, in lane order. Finishing one
+        // only starts work on its own lane, so which lanes are due is
+        // settled before the first finishes.
+        while let Some(&Reverse((end, l))) = self.computes.peek() {
+            if f64::from_bits(end) > self.now + TIME_EPS {
+                break;
             }
+            self.computes.pop();
+            self.due_lanes.push(l);
+        }
+        self.due_lanes.sort_unstable_by(|a, b| b.cmp(a));
+        while let Some(l) = self.due_lanes.pop() {
+            let task = self.lanes[l].busy.take().expect("due lane runs a compute");
+            self.finish_task(task);
+            self.pump_lane(LaneId(l));
         }
     }
 
@@ -425,29 +436,10 @@ impl<'g> Engine<'g> {
         // Dispatch in id order for determinism (instant stack is LIFO).
         self.instant.reverse();
 
-        let mut spins: u64 = 0;
         loop {
             self.settle();
             if self.remaining_tasks == 0 {
                 break;
-            }
-            spins += 1;
-            if spins.is_multiple_of(1_000_000) && std::env::var_os("JANUS_SIM_DEBUG").is_some() {
-                eprintln!(
-                    "sim spin {spins}: now={} next={:?} remaining={} flows={:?} lanes={:?}",
-                    self.now,
-                    self.next_event(),
-                    self.remaining_tasks,
-                    self.flows
-                        .iter()
-                        .map(|f| (f.task, f.remaining, f.rate, f.latency_left, f.links.len()))
-                        .collect::<Vec<_>>(),
-                    self.lanes
-                        .iter()
-                        .filter(|l| l.busy.is_some())
-                        .map(|l| (l.busy, l.end))
-                        .collect::<Vec<_>>(),
-                );
             }
             match self.next_event() {
                 Some(t) => self.advance(t),
@@ -502,7 +494,7 @@ impl<'g> Engine<'g> {
 }
 
 /// Execute `graph` against links with the given `capacities` (bytes/s,
-/// indexed by [`LinkId`]).
+/// indexed by [`LinkId`](janus_topology::LinkId)).
 pub fn simulate(graph: &Graph, capacities: &[f64]) -> Result<SimResult, SimError> {
     Engine::new(graph, capacities).run()
 }
@@ -511,6 +503,7 @@ pub fn simulate(graph: &Graph, capacities: &[f64]) -> Result<SimResult, SimError
 mod tests {
     use super::*;
     use crate::graph::{GraphBuilder, TaskSpec};
+    use janus_topology::LinkId;
 
     fn route(ids: &[usize]) -> Vec<LinkId> {
         ids.iter().copied().map(LinkId).collect()

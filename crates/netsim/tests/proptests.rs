@@ -1,9 +1,82 @@
 //! Property-based tests for the fair allocator and the simulator.
 
-use janus_netsim::fair::max_min_rates;
+use janus_netsim::fair::{max_min_rates, FairShare};
 use janus_netsim::{simulate, GraphBuilder, Work};
 use janus_topology::LinkId;
 use proptest::prelude::*;
+
+/// The straightforward water-filler the per-link solver must match bit
+/// for bit: each round scans every link for the bottleneck and every flow
+/// for membership in it.
+fn reference_max_min_rates(flows: &[Vec<LinkId>], capacities: &[f64]) -> Vec<f64> {
+    let n = flows.len();
+    let mut rates = vec![f64::INFINITY; n];
+    if n == 0 {
+        return rates;
+    }
+
+    // Deduplicated routes so repeated links don't double-count.
+    let dedup: Vec<Vec<usize>> = flows
+        .iter()
+        .map(|route| {
+            let mut ls: Vec<usize> = route.iter().map(|l| l.index()).collect();
+            ls.sort_unstable();
+            ls.dedup();
+            ls
+        })
+        .collect();
+
+    let mut remaining = capacities.to_vec();
+    let mut flows_on_link = vec![0usize; capacities.len()];
+    for ls in &dedup {
+        for &l in ls {
+            flows_on_link[l] += 1;
+        }
+    }
+    let mut frozen = vec![false; n];
+    // Flows with empty routes are frozen at infinity from the start.
+    let mut unfrozen = 0usize;
+    for (i, ls) in dedup.iter().enumerate() {
+        if ls.is_empty() {
+            frozen[i] = true;
+        } else {
+            unfrozen += 1;
+        }
+    }
+
+    while unfrozen > 0 {
+        // Bottleneck link: smallest fair share among links with unfrozen flows.
+        let mut best_share = f64::INFINITY;
+        let mut best_link = usize::MAX;
+        for (l, &cnt) in flows_on_link.iter().enumerate() {
+            if cnt > 0 {
+                let share = (remaining[l] / cnt as f64).max(0.0);
+                if share < best_share {
+                    best_share = share;
+                    best_link = l;
+                }
+            }
+        }
+        if best_link == usize::MAX {
+            // No contended links left; remaining flows are unconstrained.
+            break;
+        }
+        // Freeze every unfrozen flow crossing the bottleneck.
+        for i in 0..n {
+            if frozen[i] || !dedup[i].contains(&best_link) {
+                continue;
+            }
+            frozen[i] = true;
+            unfrozen -= 1;
+            rates[i] = best_share;
+            for &l in &dedup[i] {
+                remaining[l] = (remaining[l] - best_share).max(0.0);
+                flows_on_link[l] -= 1;
+            }
+        }
+    }
+    rates
+}
 
 /// Random flow routes over `n_links` links.
 fn flows_strategy(n_links: usize) -> impl Strategy<Value = Vec<Vec<LinkId>>> {
@@ -15,6 +88,98 @@ fn flows_strategy(n_links: usize) -> impl Strategy<Value = Vec<Vec<LinkId>>> {
                 .collect()
         },
     )
+}
+
+/// Routes that may be empty or repeat a link, over `n_links` links.
+fn rough_routes(n_links: usize) -> impl Strategy<Value = Vec<Vec<LinkId>>> {
+    prop::collection::vec(prop::collection::vec(0..n_links, 0..=5), 0..16).prop_map(|flows| {
+        flows
+            .into_iter()
+            .map(|f| f.into_iter().map(LinkId).collect())
+            .collect()
+    })
+}
+
+/// Capacities mixing dead links, small integers (so shares tie across
+/// links and the lowest-index tie-break decides), arbitrary values and
+/// unbounded links.
+fn rough_caps(n_links: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(
+        prop_oneof![
+            Just(0.0),
+            (1u32..4).prop_map(f64::from),
+            0.1f64..100.0,
+            Just(f64::INFINITY),
+        ],
+        n_links,
+    )
+}
+
+fn bits(rates: &[f64]) -> Vec<u64> {
+    rates.iter().map(|r| r.to_bits()).collect()
+}
+
+/// Sorted, deduplicated link indices of each route.
+fn dedup_routes(flows: &[Vec<LinkId>]) -> Vec<Vec<usize>> {
+    flows
+        .iter()
+        .map(|f| {
+            let mut ls: Vec<usize> = f.iter().map(|l| l.index()).collect();
+            ls.sort_unstable();
+            ls.dedup();
+            ls
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The per-link solver reproduces the reference water-filler bit for
+    /// bit, ties, dead links and unbounded links included.
+    #[test]
+    fn fair_solver_matches_reference_bitwise(
+        flows in rough_routes(6),
+        caps in rough_caps(6),
+    ) {
+        prop_assert_eq!(
+            bits(&max_min_rates(&flows, &caps)),
+            bits(&reference_max_min_rates(&flows, &caps))
+        );
+    }
+
+    /// Permuting the flows permutes their rates, bit for bit: the rates
+    /// depend on the multiset of routes, not on the order flows are
+    /// listed or frozen in.
+    #[test]
+    fn fair_rates_are_permutation_invariant(
+        flows in rough_routes(6),
+        caps in rough_caps(6),
+        keys in prop::collection::vec(any::<u64>(), 16),
+    ) {
+        let mut perm: Vec<usize> = (0..flows.len()).collect();
+        perm.sort_by_key(|&i| keys[i]);
+        let permuted: Vec<Vec<LinkId>> = perm.iter().map(|&i| flows[i].clone()).collect();
+        let rates = max_min_rates(&flows, &caps);
+        let expected: Vec<f64> = perm.iter().map(|&i| rates[i]).collect();
+        prop_assert_eq!(bits(&max_min_rates(&permuted, &caps)), bits(&expected));
+    }
+
+    /// One solver reused across problems of different sizes answers each
+    /// exactly as a fresh one does: no scratch state leaks between calls.
+    #[test]
+    fn reused_fair_solver_matches_reference(
+        a in rough_routes(6),
+        caps_a in rough_caps(6),
+        b in rough_routes(3),
+        caps_b in rough_caps(3),
+    ) {
+        let mut solver = FairShare::default();
+        for (flows, caps) in [(&a, &caps_a), (&b, &caps_b), (&a, &caps_a)] {
+            let got = bits(solver.solve(&dedup_routes(flows), caps));
+            prop_assert_eq!(got, bits(&reference_max_min_rates(flows, caps)));
+        }
+    }
 }
 
 proptest! {

@@ -1963,15 +1963,15 @@ pub mod trace_run {
 
 /// `repro crash`: supervised training with rank kills and checkpoint
 /// recovery. Each scenario crashes one or more ranks (optionally over
-/// lossy links), the supervisor restores the mesh from the latest
+/// lossy links), the round driver restores the mesh from the latest
 /// committed checkpoint cut, and the finished run must be bitwise
 /// identical to the fault-free one.
 pub mod crash {
     use super::*;
     use janus_comm::faulty::{CrashAt, CrashPoint, FaultPlan};
     use janus_comm::reliable::RetransmitPolicy;
+    use janus_core::exec::elastic::{train_elastic, ElasticOpts};
     use janus_core::exec::model::ExecConfig;
-    use janus_core::exec::supervisor::{train_supervised, SupervisorOpts};
     use janus_core::exec::trainer::{diff_runs, train_unified};
     use janus_core::plan::PlanOpts;
     use janus_obs::global;
@@ -2066,7 +2066,7 @@ pub mod crash {
         };
         let iters = 4u64;
         let world = cfg.world();
-        let sup = SupervisorOpts {
+        let sup = ElasticOpts {
             retransmit: RetransmitPolicy {
                 initial_backoff: Duration::from_micros(500),
                 max_backoff: Duration::from_millis(8),
@@ -2074,9 +2074,9 @@ pub mod crash {
                 flush_quiet: Duration::from_millis(40),
                 ..RetransmitPolicy::default()
             },
-            ..SupervisorOpts::default()
+            ..ElasticOpts::default()
         };
-        let scenarios: Vec<(&str, FaultPlan, SupervisorOpts)> = vec![
+        let scenarios: Vec<(&str, FaultPlan, ElasticOpts)> = vec![
             (
                 "iteration-crash",
                 FaultPlan {
@@ -2087,7 +2087,7 @@ pub mod crash {
                     }],
                     ..FaultPlan::default()
                 },
-                sup,
+                sup.clone(),
             ),
             (
                 "send-op-crash",
@@ -2099,7 +2099,7 @@ pub mod crash {
                     }],
                     ..FaultPlan::default()
                 },
-                sup,
+                sup.clone(),
             ),
             (
                 "crash-coarse-cut",
@@ -2111,9 +2111,9 @@ pub mod crash {
                     }],
                     ..FaultPlan::default()
                 },
-                SupervisorOpts {
+                ElasticOpts {
                     ckpt_every: 2,
-                    ..sup
+                    ..sup.clone()
                 },
             ),
             (
@@ -2129,7 +2129,7 @@ pub mod crash {
                     }],
                     ..FaultPlan::default()
                 },
-                sup,
+                sup.clone(),
             ),
             (
                 "double-crash",
@@ -2165,9 +2165,9 @@ pub mod crash {
             })
             .collect();
         for (name, faults, sup) in scenarios {
-            let (_, run, report) =
-                train_supervised(&cfg, &PlanOpts::default(), &sup, iters, faults)
-                    .unwrap_or_else(|e| panic!("{name}: supervisor failed: {e}"));
+            let out = train_elastic(&cfg, &PlanOpts::default(), &sup, iters, faults)
+                .unwrap_or_else(|e| panic!("{name}: round driver failed: {e}"));
+            let (run, report) = (out.run, out.report);
             let d = diff_runs(&clean, &run);
             assert_eq!(
                 d.max_loss_diff, 0.0,

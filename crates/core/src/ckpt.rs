@@ -108,28 +108,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// When the trainer writes checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointPolicy {
-    /// Never checkpoint (the default; zero overhead).
-    #[default]
-    Never,
-    /// Checkpoint after every `n`-th completed iteration (`n = 0` is
-    /// equivalent to [`CheckpointPolicy::Never`]).
-    EveryN(u64),
-}
-
-impl CheckpointPolicy {
-    /// Should a checkpoint be written after `completed` iterations?
-    /// (`completed` counts finished iterations, so it is 1-based.)
-    pub fn should_save(&self, completed: u64) -> bool {
-        match *self {
-            CheckpointPolicy::Never => false,
-            CheckpointPolicy::EveryN(n) => n > 0 && completed > 0 && completed.is_multiple_of(n),
-        }
-    }
-}
-
 /// A full per-rank training snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -505,7 +483,7 @@ fn get_placement(buf: &mut Bytes) -> Result<Placement, CkptError> {
 
 /// An in-memory checkpoint store keyed by `(rank, iter)` — the moral
 /// equivalent of a checkpoint directory, holding the encoded blobs the
-/// supervisor commits and restores from.
+/// round driver commits and restores from.
 #[derive(Default)]
 pub struct CkptStore {
     inner: Mutex<HashMap<(usize, u64), Bytes>>,
@@ -665,18 +643,6 @@ mod tests {
         let mut fresh = WorkerState::init(&cfg, 0);
         let err = ckpt.restore(&mut fresh).unwrap_err();
         assert!(err.to_string().contains("placement"), "{err}");
-    }
-
-    #[test]
-    fn policy_fires_on_multiples_only() {
-        assert!(!CheckpointPolicy::Never.should_save(5));
-        let every2 = CheckpointPolicy::EveryN(2);
-        assert!(!every2.should_save(0));
-        assert!(!every2.should_save(1));
-        assert!(every2.should_save(2));
-        assert!(!every2.should_save(3));
-        assert!(every2.should_save(4));
-        assert!(!CheckpointPolicy::EveryN(0).should_save(4));
     }
 
     #[test]

@@ -1,9 +1,28 @@
-//! Elastic expert migration: survive permanent rank loss and hot-expert
-//! skew via live re-placement at iteration boundaries.
+//! The round driver: checkpointed training that survives crashed ranks,
+//! with live expert re-placement as a policy at round boundaries.
 //!
-//! The driver slices training into rounds of `ckpt_every` iterations
-//! (the [`supervisor`](crate::exec::supervisor) round model) and, at a
-//! round boundary, may install a new [`Placement`] epoch:
+//! [`train_elastic`] slices training into *rounds* of `ckpt_every`
+//! iterations. Each round runs on a fresh transport mesh
+//! (`Reliable<Faulty<Monitor<Local>>>` — fault injection above the
+//! liveness monitor, so heartbeats neither perturb the fault schedule
+//! nor are themselves dropped before the board sees silence). Workers
+//! restore from the round's starting checkpoint cut (or initialize fresh
+//! at iteration 0), run the round's iterations, and return their
+//! end-of-round checkpoint bytes *in their result* — the driver commits
+//! a cut to the [`CkptStore`] only when **every** live rank finished the
+//! round, so a crash can never leave a torn, partially-written cut
+//! behind.
+//!
+//! When a rank dies (an injected [`CrashPoint`](janus_comm::CrashPoint)
+//! or any other panic), the runtime marks it dead on the mesh health
+//! board; peers blocked on it fail fast with
+//! [`janus_comm::CommError::PeerDead`] instead of hanging. The driver
+//! disarms the crash points that fired, counts a recovery, and replays
+//! the round from the last committed cut. With [`ElasticOpts::default`]
+//! the placement never changes and this is plain supervised training.
+//!
+//! At a round boundary the driver may also install a new [`Placement`]
+//! epoch:
 //!
 //! * **Skew migration.** A deterministic routing probe ([`expert_loads`])
 //!   prices every expert's load offline; when the max/mean live-rank
@@ -29,17 +48,23 @@
 //! (now draining the new corpse) starts again from the committed cut.
 //! Routing can therefore never observe a torn placement.
 //!
-//! Determinism: placements are pure functions of (config, death/skew
-//! evidence), expert blobs are bitwise snapshots, and the post-migration
-//! cut each rank captures right after the commit barrier is returned to
-//! the caller — the chaos tests restart reference runs from those cuts
-//! and assert the continuation is bitwise identical.
+//! **Why a recovered run is bitwise identical to a fault-free run:** a
+//! committed cut is a bitwise snapshot of every rank's state at an
+//! iteration boundary, where the end-of-iteration double barrier plus
+//! transport flush guarantee no in-flight protocol state survives.
+//! Replaying a round from such a cut is therefore the same deterministic
+//! computation the fault-free run performs — crashed attempts mutate
+//! only state that is thrown away with their mesh. Likewise placements
+//! are pure functions of (config, death/skew evidence), expert blobs are
+//! bitwise snapshots, and the post-migration cut each rank captures
+//! right after the commit barrier is returned to the caller — the chaos
+//! tests restart reference runs from those cuts and assert the
+//! continuation is bitwise identical.
 
 use crate::ckpt::{Checkpoint, CkptStore};
 use crate::exec::data_centric::MachineShared;
 use crate::exec::model::{CommSnapshot, ExecConfig, WorkerState};
-use crate::exec::supervisor::{disarm, INJECTED_CRASH_MARKER};
-use crate::exec::trainer::{collect, TrainRun};
+use crate::exec::trainer::{collect, train_rank, TrainRun};
 use crate::exec::unified;
 use crate::exec::weights::{expert_from_bytes, expert_to_bytes};
 use crate::placement::{Move, Placement};
@@ -56,6 +81,11 @@ use janus_comm::{
 use janus_moe::expert::ExpertFfn;
 use janus_tensor::Matrix;
 use std::collections::HashMap;
+use std::time::Instant;
+
+/// The marker every injected crash panics with; the driver uses it to
+/// tell scheduled faults from genuine worker bugs.
+pub const INJECTED_CRASH_MARKER: &str = "injected crash";
 
 /// Deterministic gate bias: adds `boost` to the gate weight column of
 /// one expert on every rank, making it run hot. The skew chaos tests use
@@ -83,18 +113,22 @@ pub struct PermanentDeath {
     pub during_migration: bool,
 }
 
-/// Elastic driver knobs.
+/// Round driver knobs. The default is plain supervised training: no
+/// skew trigger, no scheduled deaths, so the placement never changes.
 #[derive(Debug, Clone)]
 pub struct ElasticOpts {
     /// Round length: placement changes and checkpoint cuts happen every
     /// `ckpt_every` completed iterations.
     pub ckpt_every: u64,
-    /// Failed rounds tolerated before giving up.
+    /// How many failed rounds the driver will recover from before
+    /// giving up and surfacing the failure.
     pub max_recoveries: u32,
     /// Reliability policy for the per-round transport stack.
     pub retransmit: RetransmitPolicy,
-    /// Liveness policy (heartbeats detect silent deaths; panics are
-    /// detected by the runtime either way).
+    /// Liveness policy for the per-round transport stack. The default
+    /// (heartbeats off) still detects panics — the runtime marks dead
+    /// ranks on the health board directly; enable heartbeats to also
+    /// suspect silently wedged peers.
     pub liveness: LivenessConfig,
     /// Skew trigger: rebalance when max/mean live-rank probe load
     /// exceeds this ratio. `INFINITY` disables skew migration.
@@ -140,7 +174,18 @@ pub struct EpochCommit {
     pub reason: String,
 }
 
-/// What elasticity cost (and saved) an elastic run.
+/// One rank's recovery bookkeeping.
+#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+pub struct RankRecovery {
+    /// Times this rank died (injected or not).
+    pub crashes: u64,
+    /// Checkpoints of this rank committed to the store.
+    pub ckpts_written: u64,
+    /// Times this rank was restored from a committed cut.
+    pub ckpts_restored: u64,
+}
+
+/// What fault tolerance and elasticity cost (and saved) a run.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct ElasticReport {
     /// Placement epochs committed, in order.
@@ -153,15 +198,46 @@ pub struct ElasticReport {
     pub migrations: u64,
     /// Bytes of expert state shipped by migrations.
     pub migration_bytes: u64,
+    /// Worker deaths observed (injected crashes, permanent deaths, and
+    /// collateral panics).
+    pub crashes: u64,
     /// Failed rounds replayed.
     pub recoveries: u64,
-    /// Iterations re-executed by replays.
+    /// Iterations re-executed because a round failed (round length ×
+    /// failed attempts).
     pub replayed_iterations: u64,
+    /// Checkpoints committed to the store (live ranks × cuts).
+    pub ckpts_written: u64,
+    /// Checkpoints restored from the store (live ranks × replays that
+    /// started from a committed cut).
+    pub ckpts_restored: u64,
+    /// Bytes of committed checkpoints.
+    pub ckpt_bytes_written: u64,
+    /// Bytes read back while restoring.
+    pub ckpt_bytes_restored: u64,
+    /// Wall-clock time of each recovery (restore + replay of the failed
+    /// round), in microseconds.
+    pub recover_us: Vec<u64>,
+    /// Per-rank breakdown.
+    pub per_rank: Vec<RankRecovery>,
     /// Migration exchanges torn down by a death mid-exchange (the
     /// placement was not installed; the retry re-planned it).
     pub aborted_migrations: u64,
     /// Digest of the placement the run finished under.
     pub final_placement_digest: u64,
+}
+
+impl ElasticReport {
+    /// The `p`-th percentile (0–100) of recovery times, in microseconds.
+    pub fn recover_us_percentile(&self, p: f64) -> u64 {
+        if self.recover_us.is_empty() {
+            return 0;
+        }
+        let mut sorted = self.recover_us.clone();
+        sorted.sort_unstable();
+        let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+        sorted[idx.min(sorted.len() - 1)]
+    }
 }
 
 /// A committed post-migration checkpoint cut: every live rank's state at
@@ -270,10 +346,19 @@ fn mig_seq(b: usize, e: usize) -> u64 {
     (1u64 << 63) | ((b as u64) << 32) | e as u64
 }
 
-/// Train `iters` iterations elastically: skew rebalances and permanent
-/// deaths re-place experts at round boundaries, transient injected
-/// `faults` are recovered supervisor-style, and the returned outcome
-/// carries the post-migration cuts for bitwise reference runs.
+/// Train `iters` iterations of the unified engine in checkpointed
+/// rounds, injecting `faults` (including [`janus_comm::CrashPoint`]s).
+/// Transient crashes replay the failed round from the last committed
+/// cut; permanent deaths and skew rebalances re-place experts at round
+/// boundaries. Returns the outcome — with the post-migration cuts for
+/// bitwise reference runs — or an error once `max_recoveries` failed
+/// rounds have been spent.
+///
+/// The headline property (asserted by the chaos tests): when the
+/// placement never changes, the returned run's losses, outputs, and
+/// final weights are **bitwise identical** to a fault-free
+/// [`crate::exec::trainer::train_unified`] of the same config,
+/// regardless of where the crashes struck.
 pub fn train_elastic(
     cfg: &ExecConfig,
     opts: &PlanOpts,
@@ -281,7 +366,7 @@ pub fn train_elastic(
     iters: u64,
     faults: FaultPlan,
 ) -> Result<ElasticOutcome, String> {
-    assert!(iters > 0, "elastic training needs at least one iteration");
+    assert!(iters > 0, "training needs at least one iteration");
     let plan = cfg.compile_plan(opts);
     let digest = plan.digest();
     let world = cfg.world();
@@ -295,7 +380,10 @@ pub fn train_elastic(
     // (table, reason, moves) of a placement change waiting to commit;
     // survives failed attempts so a drain is never lost.
     let mut pending_target: Option<(Placement, String, usize)> = None;
-    let mut report = ElasticReport::default();
+    let mut report = ElasticReport {
+        per_rank: vec![RankRecovery::default(); world],
+        ..ElasticReport::default()
+    };
     let mut cuts: Vec<MigratedCut> = Vec::new();
     let mut losses: Vec<Vec<f32>> = vec![Vec::new(); world];
     let mut comm_totals: Vec<CommSnapshot> = vec![CommSnapshot::default(); world];
@@ -303,6 +391,9 @@ pub fn train_elastic(
         (0..world).map(|_| None).collect();
     let mut recoveries_left = el.max_recoveries;
     let mut start: u64 = 0;
+    // Set after a failed attempt so the next (replaying) attempt is
+    // timed as the recovery.
+    let mut recovering_since: Option<Instant> = None;
 
     while start < iters {
         let end = (start + round_len).min(iters);
@@ -352,6 +443,15 @@ pub fn train_elastic(
             .copied()
             .collect();
         let migrating = target != placement;
+        // A replay of a later round restores every live rank from the
+        // committed cut at `start`; round 0 re-initializes instead.
+        let restoring = recovering_since.is_some() && start > 0;
+        if restoring {
+            report.ckpt_bytes_restored += (0..world)
+                .filter(|&r| target.is_live(r))
+                .map(|r| store.get(r, start).map_or(0, |b| b.len() as u64))
+                .sum::<u64>();
+        }
         let results = run_elastic_round(RoundSpec {
             cfg,
             plan: &plan,
@@ -370,22 +470,32 @@ pub fn train_elastic(
         let failed: Vec<(usize, String)> = results
             .iter()
             .enumerate()
-            .filter(|(rank, _)| target.is_live(*rank))
-            .filter_map(|(rank, r)| match r {
-                Err(msg) => Some((rank, msg.clone())),
-                Ok(_) => None,
-            })
+            .filter_map(|(rank, r)| r.as_ref().err().map(|msg| (rank, msg.clone())))
             .collect();
 
         if failed.is_empty() {
+            // Commit: every live rank finished the round, so the cut at
+            // `end` is complete and becomes the new restore point.
             let mut cut_ckpts: Vec<Option<Bytes>> = vec![None; world];
             for (rank, r) in results.into_iter().enumerate() {
                 let Ok(Some(out)) = r else { continue };
                 losses[rank].extend(out.losses);
                 comm_totals[rank].accumulate(&out.comm);
+                report.ckpts_written += 1;
+                report.ckpt_bytes_written += out.ckpt.len() as u64;
+                report.per_rank[rank].ckpts_written += 1;
+                if restoring {
+                    report.ckpts_restored += 1;
+                    report.per_rank[rank].ckpts_restored += 1;
+                }
                 store.put(rank, end, out.ckpt);
                 last_round[rank] = Some((out.output, out.experts));
                 cut_ckpts[rank] = out.migrated_cut;
+            }
+            if let Some(since) = recovering_since.take() {
+                let us = since.elapsed().as_micros() as u64;
+                report.recover_us.push(us);
+                janus_obs::global().observe("janus_time_to_recover_us", us);
             }
             if migrating {
                 report.epochs.push(EpochCommit {
@@ -412,15 +522,20 @@ pub fn train_elastic(
         // *committed* placement (a torn migration was never installed);
         // transient injected crashes are disarmed; either way the round
         // replays from the committed cut and the retry re-plans the
-        // placement change.
+        // placement change. A panic without the marker (a genuine bug,
+        // or collateral damage from a peer's death) is replayed on the
+        // same budget: if it is deterministic it will exhaust
+        // `max_recoveries` and surface.
         if migrating {
             report.aborted_migrations += 1;
         }
         let mut drained = placement.clone();
         let mut drain_reasons = Vec::new();
         for (rank, msg) in &failed {
-            if let Some(pos) = deaths.iter().position(|d| d.rank == *rank) {
-                deaths.remove(pos);
+            report.crashes += 1;
+            report.per_rank[*rank].crashes += 1;
+            if round_deaths.iter().any(|d| d.rank == *rank) {
+                deaths.retain(|d| d.rank != *rank);
                 report.dead_ranks.push(*rank);
                 drained = drained.drain(*rank);
                 drain_reasons.push(format!("drain rank {rank}"));
@@ -440,7 +555,7 @@ pub fn train_elastic(
                 .map(|(rank, msg)| format!("rank {rank}: {msg}"))
                 .collect();
             return Err(format!(
-                "elastic driver gave up after {} recoveries; last failures: {}",
+                "round driver gave up after {} recoveries; last failures: {}",
                 el.max_recoveries,
                 detail.join("; ")
             ));
@@ -448,7 +563,11 @@ pub fn train_elastic(
         recoveries_left -= 1;
         report.recoveries += 1;
         report.replayed_iterations += end - start;
+        janus_obs::global().count("janus_recoveries_total", 1);
         janus_obs::global().count("janus_migration_aborts_total", u64::from(migrating));
+        // Keep an already-running recovery timer: back-to-back failures
+        // are one outage from the run's point of view.
+        recovering_since.get_or_insert_with(Instant::now);
     }
 
     report.degraded = placement.live_count() < world;
@@ -560,6 +679,11 @@ struct RoundSpec<'a> {
     deaths: &'a [PermanentDeath],
 }
 
+/// Run one `[start, end)` round on a fresh fault-injected mesh. Per
+/// rank: `Ok(Some(_))` when it finished, `Ok(None)` when it is dead in
+/// the target placement and sat the round out, `Err(panic message)` when
+/// it died. A rank that *observes* a death (e.g. `PeerDead` out of an
+/// iteration) converts it into a panic too, so every outcome is uniform.
 fn run_elastic_round(spec: RoundSpec<'_>) -> Vec<Result<Option<ElasticRoundOut>, String>> {
     let RoundSpec {
         cfg,
@@ -604,6 +728,7 @@ fn run_elastic_round(spec: RoundSpec<'_>) -> Vec<Result<Option<ElasticRoundOut>,
                 ckpt.plan_digest, digest,
                 "rank {rank}: checkpoint belongs to a different plan"
             );
+            assert_eq!(ckpt.iter, start, "rank {rank}: wrong cut");
             ckpt.restore(&mut state)
                 .unwrap_or_else(|e| panic!("rank {rank} restoring cut {start}: {e}"));
         }
@@ -630,9 +755,11 @@ fn run_elastic_round(spec: RoundSpec<'_>) -> Vec<Result<Option<ElasticRoundOut>,
             })
             .collect();
         let sh = &shared[cfg.machine_of(rank)];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in start..end {
+        // A comm error inside the round means a peer died; the whole
+        // round is replayed, so this rank's partial work is discarded
+        // along with it. Flush failures at teardown are not fatal to the
+        // round: every iteration already completed its barriers.
+        let (losses, output, _flushed) = train_rank(&comm, &mut state, start..end, |state, i| {
             if my_iter_crashes.contains(&i) {
                 janus_obs::global().count("janus_crashes_injected_total", 1);
                 panic!("{INJECTED_CRASH_MARKER}: rank {rank} at iteration {i}");
@@ -641,23 +768,38 @@ fn run_elastic_round(spec: RoundSpec<'_>) -> Vec<Result<Option<ElasticRoundOut>,
                 janus_obs::global().count("janus_permanent_deaths_total", 1);
                 panic!("{INJECTED_CRASH_MARKER}: rank {rank} permanently dead at iteration {i}");
             }
-            let out = unified::run_iteration(&comm, &mut state, sh, plan, i)
-                .unwrap_or_else(|e| panic!("rank {rank} at iteration {i}: {e}"));
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        let _ = comm.transport().flush();
-        state.comm.record_transport(comm.transport().stats());
+            unified::run_iteration(&comm, state, sh, plan, i)
+        });
         let ckpt = Checkpoint::capture(&state, end, digest).to_bytes();
         Some(ElasticRoundOut {
             losses,
-            output: output.expect("rounds are non-empty"),
+            output,
             experts: state.experts,
             comm: state.comm.snapshot(),
             ckpt,
             migrated_cut,
         })
     })
+}
+
+/// Remove the crash point that produced `msg` from the plan so the
+/// replay does not immediately die again. Injected panics name their
+/// trigger (`… at iteration N` / `… at send op N`), which is parsed back
+/// here rather than threading shared mutable state through the mesh.
+fn disarm(plan: &mut FaultPlan, rank: usize, msg: &str) {
+    let parse_after = |needle: &str| -> Option<u64> {
+        let at = msg.find(needle)? + needle.len();
+        let rest = &msg[at..];
+        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
+        digits.parse().ok()
+    };
+    let fired = if let Some(i) = parse_after("at iteration ") {
+        Some(CrashAt::Iteration(i))
+    } else {
+        parse_after("at send op ").map(CrashAt::SendOp)
+    };
+    plan.crashes
+        .retain(|c| !(c.rank == rank && Some(c.at) == fired));
 }
 
 /// The live migration exchange, run by every rank live in `target`:
@@ -744,6 +886,7 @@ fn migrate<T: Transport>(
 mod tests {
     use super::*;
     use crate::exec::trainer::{diff_runs, train_unified};
+    use janus_comm::CrashPoint;
 
     fn small() -> ExecConfig {
         ExecConfig {
@@ -771,6 +914,174 @@ mod tests {
         assert!(out.report.epochs.is_empty());
         assert!(!out.report.degraded);
         assert_eq!(out.report.migrations, 0);
+        assert_eq!(out.report.crashes, 0);
+        assert_eq!(out.report.recoveries, 0);
+        assert_eq!(out.report.ckpts_written, 3 * cfg.world() as u64);
+    }
+
+    #[test]
+    fn iteration_crash_is_recovered_bitwise() {
+        let cfg = small();
+        let faults = FaultPlan {
+            crashes: vec![CrashPoint {
+                rank: 2,
+                at: CrashAt::Iteration(1),
+            }],
+            ..FaultPlan::default()
+        };
+        let out = train_elastic(
+            &cfg,
+            &PlanOpts::default(),
+            &ElasticOpts::default(),
+            3,
+            faults,
+        )
+        .unwrap();
+        let report = &out.report;
+        assert!(report.crashes >= 1, "{report:?}");
+        assert_eq!(report.recoveries, 1, "{report:?}");
+        assert_eq!(report.ckpts_restored, cfg.world() as u64, "{report:?}");
+        assert_eq!(report.recover_us.len(), 1);
+        let baseline = train_unified(&cfg, 3);
+        let diff = diff_runs(&out.run, &baseline);
+        assert_eq!(diff.max_output_diff, 0.0, "{diff:?}");
+        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
+        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
+    }
+
+    #[test]
+    fn send_op_crash_is_recovered_bitwise() {
+        let cfg = small();
+        let faults = FaultPlan {
+            crashes: vec![CrashPoint {
+                rank: 1,
+                at: CrashAt::SendOp(7),
+            }],
+            ..FaultPlan::default()
+        };
+        let out = train_elastic(
+            &cfg,
+            &PlanOpts::default(),
+            &ElasticOpts::default(),
+            2,
+            faults,
+        )
+        .unwrap();
+        let report = &out.report;
+        assert!(report.crashes >= 1, "{report:?}");
+        assert!(report.recoveries >= 1, "{report:?}");
+        let baseline = train_unified(&cfg, 2);
+        let diff = diff_runs(&out.run, &baseline);
+        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
+        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
+    }
+
+    #[test]
+    fn crash_in_a_later_round_restores_from_the_committed_cut() {
+        let cfg = small();
+        let faults = FaultPlan {
+            crashes: vec![CrashPoint {
+                rank: 0,
+                at: CrashAt::Iteration(2),
+            }],
+            ..FaultPlan::default()
+        };
+        let el = ElasticOpts {
+            ckpt_every: 2,
+            ..ElasticOpts::default()
+        };
+        let out = train_elastic(&cfg, &PlanOpts::default(), &el, 4, faults).unwrap();
+        let report = &out.report;
+        // The crash hits round [2,4), which replays from the cut at 2.
+        assert_eq!(report.recoveries, 1, "{report:?}");
+        assert_eq!(report.ckpts_restored, cfg.world() as u64, "{report:?}");
+        assert_eq!(report.replayed_iterations, 2, "{report:?}");
+        let baseline = train_unified(&cfg, 4);
+        let diff = diff_runs(&out.run, &baseline);
+        assert_eq!(diff.max_weight_diff, 0.0, "{diff:?}");
+        assert_eq!(diff.max_loss_diff, 0.0, "{diff:?}");
+    }
+
+    #[test]
+    fn exhausted_recovery_budget_surfaces_the_failure() {
+        let cfg = small();
+        // Crash every rank at iteration 0 but allow zero recoveries.
+        let faults = FaultPlan {
+            crashes: vec![CrashPoint {
+                rank: 0,
+                at: CrashAt::Iteration(0),
+            }],
+            ..FaultPlan::default()
+        };
+        let el = ElasticOpts {
+            max_recoveries: 0,
+            ..ElasticOpts::default()
+        };
+        let err = match train_elastic(&cfg, &PlanOpts::default(), &el, 2, faults) {
+            Err(e) => e,
+            Ok(_) => panic!("a crash with zero recoveries must fail"),
+        };
+        assert!(err.contains("gave up"), "{err}");
+        assert!(err.contains(INJECTED_CRASH_MARKER), "{err}");
+    }
+
+    /// A transient crash kills every rank in its round (peers observe
+    /// `PeerDead`), including one scheduled to die permanently in a
+    /// later round; only the scheduled death may drain it.
+    #[test]
+    fn transient_crash_does_not_drain_a_rank_scheduled_to_die_later() {
+        let cfg = small();
+        let el = ElasticOpts {
+            ckpt_every: 2,
+            deaths: vec![PermanentDeath {
+                rank: 3,
+                at_iter: 3,
+                during_migration: false,
+            }],
+            ..ElasticOpts::default()
+        };
+        let faults = FaultPlan {
+            crashes: vec![CrashPoint {
+                rank: 0,
+                at: CrashAt::Iteration(1),
+            }],
+            ..FaultPlan::default()
+        };
+        let out = train_elastic(&cfg, &PlanOpts::default(), &el, 4, faults).unwrap();
+        assert_eq!(out.report.dead_ranks, vec![3]);
+        assert_eq!(out.report.epochs.len(), 1, "{:?}", out.report.epochs);
+        assert_eq!(out.report.epochs[0].at_iter, 2, "drained before its death");
+        assert_eq!(out.run.losses[3].len(), 2);
+        assert_eq!(out.report.recoveries, 2, "{:?}", out.report);
+    }
+
+    #[test]
+    fn disarm_removes_only_the_fired_point() {
+        let mut plan = FaultPlan {
+            crashes: vec![
+                CrashPoint {
+                    rank: 1,
+                    at: CrashAt::Iteration(0),
+                },
+                CrashPoint {
+                    rank: 1,
+                    at: CrashAt::Iteration(2),
+                },
+                CrashPoint {
+                    rank: 2,
+                    at: CrashAt::SendOp(5),
+                },
+            ],
+            ..FaultPlan::default()
+        };
+        disarm(&mut plan, 1, "injected crash: rank 1 at iteration 0");
+        assert_eq!(plan.crashes.len(), 2);
+        assert!(plan.crashes.contains(&CrashPoint {
+            rank: 1,
+            at: CrashAt::Iteration(2)
+        }));
+        disarm(&mut plan, 2, "injected crash: rank 2 at send op 5");
+        assert_eq!(plan.crashes.len(), 1);
     }
 
     #[test]

@@ -12,17 +12,19 @@
 //! mixed-paradigm engine off a compiled [`IterationPlan`] and is held to
 //! the same bitwise standard against both pure engines.
 
-use crate::ckpt::{Checkpoint, CheckpointPolicy, CkptStore};
 use crate::exec::data_centric::{self, MachineShared};
-use crate::exec::expert_centric;
+use crate::exec::expert_centric::{self, IterOutput};
 use crate::exec::model::{CommSnapshot, ExecConfig, WorkerState};
 use crate::exec::unified;
 use crate::plan::{IterationPlan, PlanOpts};
-use janus_comm::runtime::{run_on, run_workers};
-use janus_comm::Transport;
+use janus_comm::liveness::monitored_mesh;
+use janus_comm::local::LocalTransport;
+use janus_comm::runtime::run_on;
+use janus_comm::{Comm, CommError, LivenessConfig, LivenessMonitor, Transport};
 use janus_moe::expert::ExpertFfn;
 use janus_obs::{OverlapReport, TraceEvent};
 use janus_tensor::Matrix;
+use std::ops::Range;
 
 /// Result of one multi-iteration training run.
 pub struct TrainRun {
@@ -78,49 +80,20 @@ impl TrainRun {
 /// Train `iters` iterations with the expert-centric engine over an
 /// in-process mesh.
 pub fn train_expert_centric(cfg: &ExecConfig, iters: u64) -> TrainRun {
-    let results = run_workers(cfg.world(), |comm| {
-        let mut state = WorkerState::init(cfg, comm.rank());
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in 0..iters {
-            let out = expert_centric::run_iteration(&comm, &mut state, i)
-                .expect("expert-centric iteration");
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        (
-            losses,
-            output.expect("at least one iteration"),
-            state.experts,
-            state.comm.snapshot(),
-        )
-    });
-    collect(results)
+    train_on(local_endpoints(cfg), cfg, iters, |comm, state, _, i| {
+        expert_centric::run_iteration(comm, state, i)
+    })
 }
 
 /// Train `iters` iterations with the data-centric engine over an
 /// in-process mesh.
 pub fn train_data_centric(cfg: &ExecConfig, iters: u64) -> TrainRun {
-    let shared = MachineShared::for_cluster(cfg);
-    let results = run_workers(cfg.world(), |comm| {
-        let mut state = WorkerState::init(cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in 0..iters {
-            let out = data_centric::run_iteration(&comm, &mut state, sh, i)
-                .expect("data-centric iteration");
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        (
-            losses,
-            output.expect("at least one iteration"),
-            state.experts,
-            state.comm.snapshot(),
-        )
-    });
-    collect(results)
+    train_on(
+        local_endpoints(cfg),
+        cfg,
+        iters,
+        data_centric::run_iteration,
+    )
 }
 
 /// Train `iters` iterations with the unified engine over an in-process
@@ -137,49 +110,11 @@ pub fn train_unified_with(
     opts: &PlanOpts,
     iters: u64,
 ) -> (IterationPlan, TrainRun) {
-    train_unified_checkpointed(cfg, opts, iters, CheckpointPolicy::Never, &CkptStore::new())
-}
-
-/// [`train_unified_with`] plus periodic checkpointing: after every
-/// iteration the `policy` selects, each rank encodes a [`Checkpoint`]
-/// (iteration counter, plan digest, RNG cursor, expert shard) and
-/// commits it to `store` keyed by `(rank, completed iterations)`.
-/// Checkpointing never perturbs the trajectory — it only reads state at
-/// iteration boundaries — so a checkpointed run stays bitwise identical
-/// to an unpoliced one.
-pub fn train_unified_checkpointed(
-    cfg: &ExecConfig,
-    opts: &PlanOpts,
-    iters: u64,
-    policy: CheckpointPolicy,
-    store: &CkptStore,
-) -> (IterationPlan, TrainRun) {
     let plan = cfg.compile_plan(opts);
-    let digest = plan.digest();
-    let shared = MachineShared::for_cluster(cfg);
-    let results = run_workers(cfg.world(), |comm| {
-        let mut state = WorkerState::init(cfg, comm.rank());
-        let sh = &shared[cfg.machine_of(comm.rank())];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in 0..iters {
-            let out =
-                unified::run_iteration(&comm, &mut state, sh, &plan, i).expect("unified iteration");
-            losses.push(out.loss);
-            output = Some(out.output);
-            if policy.should_save(i + 1) {
-                let bytes = Checkpoint::capture(&state, i + 1, digest).to_bytes();
-                store.put(state.rank, i + 1, bytes);
-            }
-        }
-        (
-            losses,
-            output.expect("at least one iteration"),
-            state.experts,
-            state.comm.snapshot(),
-        )
+    let run = train_on(local_endpoints(cfg), cfg, iters, |comm, state, sh, i| {
+        unified::run_iteration(comm, state, sh, &plan, i)
     });
-    (plan, collect(results))
+    (plan, run)
 }
 
 /// [`train_unified`] over caller-supplied transport endpoints (one per
@@ -194,28 +129,61 @@ pub fn train_unified_on<T: Transport + 'static>(
 ) -> TrainRun {
     assert_eq!(endpoints.len(), cfg.world(), "one endpoint per rank");
     let plan = cfg.compile_plan(&PlanOpts::default());
+    train_on(endpoints, cfg, iters, |comm, state, sh, i| {
+        unified::run_iteration(comm, state, sh, &plan, i)
+    })
+}
+
+/// The in-process mesh the local trainers run on: liveness-monitored with
+/// heartbeats off, so a panicking rank surfaces to its peers as
+/// `PeerDead` instead of a hang (the mesh `run_workers` builds).
+fn local_endpoints(cfg: &ExecConfig) -> Vec<LivenessMonitor<LocalTransport>> {
+    monitored_mesh(cfg.world(), LivenessConfig::default())
+}
+
+/// Train every rank from initialization for `iters` iterations of `step`.
+fn train_on<T: Transport + 'static>(
+    endpoints: Vec<T>,
+    cfg: &ExecConfig,
+    iters: u64,
+    step: impl Fn(&Comm<T>, &mut WorkerState, &MachineShared, u64) -> Result<IterOutput, CommError>
+        + Sync,
+) -> TrainRun {
     let shared = MachineShared::for_cluster(cfg);
     let results = run_on(endpoints, |comm| {
         let mut state = WorkerState::init(cfg, comm.rank());
         let sh = &shared[cfg.machine_of(comm.rank())];
-        let mut losses = Vec::new();
-        let mut output = None;
-        for i in 0..iters {
-            let out =
-                unified::run_iteration(&comm, &mut state, sh, &plan, i).expect("unified iteration");
-            losses.push(out.loss);
-            output = Some(out.output);
-        }
-        comm.transport().flush().expect("flushing the transport");
-        state.comm.record_transport(comm.transport().stats());
-        (
-            losses,
-            output.expect("at least one iteration"),
-            state.experts,
-            state.comm.snapshot(),
-        )
+        let (losses, output, flushed) = train_rank(&comm, &mut state, 0..iters, |state, i| {
+            step(&comm, state, sh, i)
+        });
+        flushed.expect("flushing the transport");
+        (losses, output, state.experts, state.comm.snapshot())
     });
     collect(results)
+}
+
+/// The per-rank training loop every driver shares: run iterations
+/// `iters` through `step`, then drain the transport and record its
+/// counters. Returns the loss history, the last output, and the drain's
+/// outcome (callers decide whether a failed drain is fatal). A failed
+/// iteration panics, naming the rank and iteration.
+pub(crate) fn train_rank<T: Transport>(
+    comm: &Comm<T>,
+    state: &mut WorkerState,
+    iters: Range<u64>,
+    mut step: impl FnMut(&mut WorkerState, u64) -> Result<IterOutput, CommError>,
+) -> (Vec<f32>, Matrix, Result<(), CommError>) {
+    let rank = comm.rank();
+    let mut losses = Vec::new();
+    let mut output = None;
+    for i in iters {
+        let out = step(state, i).unwrap_or_else(|e| panic!("rank {rank} at iteration {i}: {e}"));
+        losses.push(out.loss);
+        output = Some(out.output);
+    }
+    let flushed = comm.transport().flush();
+    state.comm.record_transport(comm.transport().stats());
+    (losses, output.expect("at least one iteration"), flushed)
 }
 
 pub(crate) type WorkerResult = (Vec<f32>, Matrix, Vec<Vec<ExpertFfn>>, CommSnapshot);

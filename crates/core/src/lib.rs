@@ -21,12 +21,12 @@
 //!   [`janus_comm`] transports in both paradigms, demonstrating the
 //!   paper's equivalence claim (§3.2) end to end.
 //! * [`ckpt`] — versioned, checksummed per-rank checkpoints with a
-//!   bitwise `save(load(x)) == x` guarantee, plus the policy and store
-//!   the trainer commits cuts to.
-//! * [`exec::supervisor`] — restartable-worker training: crashed ranks
-//!   are detected (liveness board), the world is restored from the
-//!   latest committed cut, and the recovered run stays bitwise
-//!   identical to the fault-free one.
+//!   bitwise `save(load(x)) == x` guarantee, plus the store the round
+//!   driver commits cuts to.
+//! * [`exec::elastic`] — the round driver: training in checkpointed
+//!   rounds that survives crashed ranks bitwise, with live expert
+//!   re-placement (skew rebalance, dead-rank drain) as a policy at
+//!   round boundaries.
 
 pub mod ckpt;
 pub mod paradigm;
@@ -59,7 +59,6 @@ pub mod exec {
     pub mod expert_centric;
     pub mod model;
     pub(crate) mod obs;
-    pub mod supervisor;
     pub mod trainer;
     pub mod unified;
     pub mod weights;

@@ -11,6 +11,9 @@
 //!   down with the round; the placement is **never** installed torn —
 //!   every committed epoch's table validates, epochs only move forward,
 //!   and the retry at the same boundary re-plans from the committed cut;
+//! * a *transient* crash in the round that installs a skew rebalance
+//!   aborts that attempt too, but the retry installs the very same table
+//!   — no rank is lost and the run is not degraded;
 //! * the whole schedule is deterministic: the same seed and death/skew
 //!   schedule produces bitwise-identical training across compute thread
 //!   counts, and the post-migration continuation is bitwise identical to
@@ -23,7 +26,7 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use janus::comm::faulty::{FaultPlan, Partition};
+use janus::comm::faulty::{CrashAt, CrashPoint, FaultPlan, Partition};
 use janus::comm::reliable::RetransmitPolicy;
 use janus::core::exec::elastic::{
     resume_from_cut, train_elastic, ElasticOpts, ElasticOutcome, GateSkew, PermanentDeath,
@@ -135,6 +138,15 @@ fn assert_bitwise_resume(cfg: &ExecConfig, el: &ElasticOpts, out: &ElasticOutcom
             reference.outputs[rank].data(),
             "{label}: rank {rank} outputs diverge from the resumed reference"
         );
+        for (a, b) in out.run.experts[rank].iter().zip(&reference.experts[rank]) {
+            for (ea, eb) in a.iter().zip(b) {
+                assert_eq!(
+                    (ea.w1.data(), ea.w2.data()),
+                    (eb.w1.data(), eb.w2.data()),
+                    "{label}: rank {rank} weights diverge from the resumed reference"
+                );
+            }
+        }
     }
 }
 
@@ -294,5 +306,81 @@ fn death_during_migration_aborts_cleanly_and_commits_on_retry() {
             across = Some(out);
         }
         pool::set_threads(0); // restore the JANUS_THREADS/env default
+    })
+}
+
+/// A transient crash inside the round that installs a skew rebalance:
+/// the attempt is aborted with the round, the crash point is disarmed,
+/// and the retry keeps the pending rebalance — the run commits the same
+/// single epoch as the crash-free skew run, loses no rank, and continues
+/// bitwise from its cut.
+#[test]
+fn transient_crash_during_skew_rebalance_retries_the_same_placement() {
+    with_watchdog("crash-during-rebalance", Duration::from_secs(240), || {
+        let cfg = cfg();
+        let el = ElasticOpts {
+            ckpt_every: 2,
+            retransmit: chaos_policy(),
+            skew_ratio: 1.2,
+            max_moves: 4,
+            skew: Some(GateSkew {
+                block: 0,
+                expert: 0,
+                boost: 8.0,
+            }),
+            ..ElasticOpts::default()
+        };
+        let clean = train_elastic(&cfg, &PlanOpts::default(), &el, ITERS, FaultPlan::default())
+            .unwrap_or_else(|e| panic!("crash-free skew run: {e}"));
+        assert_eq!(
+            clean.report.epochs.len(),
+            1,
+            "the crash-free skew run must commit exactly one rebalance: {:?}",
+            clean.report.epochs
+        );
+        assert_eq!(clean.report.epochs[0].at_iter, 0);
+        for seed in chaos_seeds() {
+            let label = format!("crash-during-rebalance seed={seed:#x}");
+            // The rebalance installs at iteration 0, so a crash at
+            // iteration 0 or 1 lands in the installing round [0, 2).
+            let faults = FaultPlan {
+                seed,
+                crashes: vec![CrashPoint {
+                    rank: (seed % cfg.world() as u64) as usize,
+                    at: CrashAt::Iteration(seed % 2),
+                }],
+                ..FaultPlan::default()
+            };
+            let out = train_elastic(&cfg, &PlanOpts::default(), &el, ITERS, faults)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+
+            assert!(
+                out.report.aborted_migrations >= 1,
+                "{label}: the crash must abort the installing attempt: {:?}",
+                out.report
+            );
+            assert!(
+                out.report.recoveries >= 1,
+                "{label}: the crash must cost a replayed round: {:?}",
+                out.report
+            );
+            assert_eq!(
+                out.report.epochs.len(),
+                1,
+                "{label}: exactly one epoch must commit: {:?}",
+                out.report.epochs
+            );
+            assert_eq!(
+                out.report.epochs[0].placement_digest, clean.report.epochs[0].placement_digest,
+                "{label}: the retry must install the crash-free table"
+            );
+            assert!(
+                !out.report.degraded,
+                "{label}: a transient crash loses no rank"
+            );
+            assert!(out.report.dead_ranks.is_empty(), "{label}");
+            assert_never_torn(&out);
+            assert_bitwise_resume(&cfg, &el, &out, &label);
+        }
     })
 }

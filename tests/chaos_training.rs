@@ -10,7 +10,7 @@
 //! fault profiles, chaos seeds, and compute thread counts.
 //!
 //! The crash dimension goes further: `CrashPoint`s kill whole ranks
-//! mid-iteration or mid-send, the supervisor restores the survivors'
+//! mid-iteration or mid-send, the round driver restores the survivors'
 //! world from the latest committed checkpoint cut, and the finished run
 //! must *still* be bitwise identical to the fault-free one.
 //!
@@ -28,8 +28,8 @@ use janus::comm::reliable::{ReliableTransport, RetransmitPolicy};
 use janus::comm::runtime::run_on;
 use janus::comm::transport::CommError;
 use janus::core::exec::data_centric::{self, MachineShared};
+use janus::core::exec::elastic::{train_elastic, ElasticOpts};
 use janus::core::exec::model::{CommSnapshot, ExecConfig, PullRetryPolicy, WorkerState};
-use janus::core::exec::supervisor::{train_supervised, SupervisorOpts};
 use janus::core::exec::trainer::{diff_runs, train_unified, train_unified_on, TrainRun};
 use janus::core::plan::PlanOpts;
 use janus::tensor::pool;
@@ -272,10 +272,10 @@ fn chaos_matrix_is_bitwise_identical_to_fault_free_run() {
 /// is the minimum number of checkpoint restores the scenario must cause
 /// (0 when the crash lands in the first round, which replays from
 /// initialization rather than a committed cut).
-fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, SupervisorOpts, u64)> {
-    let sup = SupervisorOpts {
+fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, ElasticOpts, u64)> {
+    let sup = ElasticOpts {
         retransmit: chaos_policy(),
-        ..SupervisorOpts::default()
+        ..ElasticOpts::default()
     };
     vec![
         (
@@ -290,7 +290,7 @@ fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, Superv
                 }],
                 ..FaultPlan::default()
             },
-            sup,
+            sup.clone(),
             world as u64,
         ),
         (
@@ -307,7 +307,7 @@ fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, Superv
                 }],
                 ..FaultPlan::default()
             },
-            sup,
+            sup.clone(),
             0,
         ),
         (
@@ -323,9 +323,9 @@ fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, Superv
                 }],
                 ..FaultPlan::default()
             },
-            SupervisorOpts {
+            ElasticOpts {
                 ckpt_every: 2,
-                ..sup
+                ..sup.clone()
             },
             world as u64,
         ),
@@ -344,7 +344,7 @@ fn crash_matrix(seed: u64, world: usize) -> Vec<(&'static str, FaultPlan, Superv
                 }],
                 ..FaultPlan::default()
             },
-            sup,
+            sup.clone(),
             world as u64,
         ),
         (
@@ -387,8 +387,9 @@ fn crash_recovery_is_bitwise_identical_to_fault_free_run() {
                 for (name, faults, sup, min_restores) in crash_matrix(seed, cfg.world()) {
                     let n_crashes = faults.crashes.len() as u64;
                     let label = format!("{name} seed={seed:#x} threads={threads}");
-                    let (_, run, report) = train_supervised(&cfg, &opts, &sup, ITERS, faults)
-                        .unwrap_or_else(|e| panic!("{label}: supervisor failed: {e}"));
+                    let out = train_elastic(&cfg, &opts, &sup, ITERS, faults)
+                        .unwrap_or_else(|e| panic!("{label}: round driver failed: {e}"));
+                    let (run, report) = (out.run, out.report);
                     let d = diff_runs(&baseline, &run);
                     assert_eq!(d.max_output_diff, 0.0, "{label}: {d:?}");
                     assert_eq!(d.max_weight_diff, 0.0, "{label}: {d:?}");
